@@ -55,7 +55,7 @@ def main() -> int:
     if tracer is not None:
         tracer.gate.value = False
     reply({"pid": os.getpid()})
-    first: list = []
+    last: tuple = ([], [])  # the last chunk distilled, and its results
     try:
         for line in sys.stdin:
             command = json.loads(line)
@@ -75,23 +75,26 @@ def main() -> int:
                     start = time.perf_counter()
                     results = distiller.distill_many(batch)
                     calls.append((start, time.perf_counter(), len(batch)))
-                    if not first:
-                        first = [
-                            result_to_dict(r, q, a)
-                            for (q, a, _c), r in zip(batch, results)
-                        ]
+                    last = (batch, results)
                     pos += len(batch)
                 if tracer is not None:
                     tracer.gate.value = False
                 reply({"calls": calls, "used": pos})
             elif name == "check":
-                # The process pool's first chunk next to serial, inline
-                # GCED.distill of the same triples.
-                items = command["items"][: len(first)]
-                serial = [
-                    result_to_dict(gced.distill(q, a, c), q, a) for q, a, c in items
-                ]
-                reply({"process": first[: len(items)], "serial": serial})
+                # The pool's last chunk (the measured phase's end) next to
+                # serial, inline GCED.distill of the triples it was given.
+                batch, results = last
+                reply(
+                    {
+                        "process": [
+                            result_to_dict(r, q, a) for (q, a, _c), r in zip(batch, results)
+                        ],
+                        "serial": [
+                            result_to_dict(gced.distill(q, a, c), q, a)
+                            for q, a, c in batch
+                        ],
+                    }
+                )
             elif name == "stats":
                 stats = distiller.stats()
                 caches = {

@@ -7,6 +7,8 @@ hardware fingerprints differ are never compared: the script exits 2
 instead of reporting false regressions.  Otherwise it prints, per
 workload and end-to-end metric, both medians with their quartiles and
 the change, and exits 1 if any median is worse than its bound allows.
+It also prints both sets' median speed probe, which shows whether the
+box itself ran slower for one set.
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ def main(argv: list[str]) -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
+    probes = [[r["speed_probe_ms"] for r in side if "speed_probe_ms" in r]
+              for side in (base, new)]
+    if all(probes):
+        b, n = (statistics.median(p) for p in probes)
+        print(f"speed probe (fixed loop, higher is a slower box): base {b:.2f} ms, "
+              f"new {n:.2f} ms ({100 * (n - b) / b:+.1f}%); a shift here moves "
+              "every metric without a program change")
     regressed = False
     workloads = sorted({r["workload"] for r in base + new if r["trace"] == 0})
     for workload in workloads:

@@ -27,6 +27,7 @@ class Sent:
     end: float
     status: int
     body: bytes
+    payload: object = None  # the JSON the client sent, for the checks
 
     @property
     def ok(self) -> bool:
@@ -83,7 +84,8 @@ def send(port: int, op: Op, due: float | None = None) -> Sent:
     status, body = request(port, method, path, payload)
     end = clock()
     op.done(status, body)
-    return Sent(op.route, op.key, sent if due is None else due, sent, end, status, body)
+    return Sent(op.route, op.key, sent if due is None else due, sent, end, status,
+                body, payload)
 
 
 def closed_loop(port: int, ops, connections: int, until: float,
