@@ -80,7 +80,7 @@ def _clear_prediction_memos(reader) -> None:
     if compiler is None:
         return
     for _, compiled in compiler.cache.items():
-        compiled._predictions.clear()
+        compiled.clear_predictions()
 
 
 def _predict_ms(reader, pairs, rounds: int) -> float:

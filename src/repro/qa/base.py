@@ -252,8 +252,30 @@ class SpanScoringQA(QAModel):
         """Score a span using ``prep``; must equal :meth:`score_span` exactly."""
         raise NotImplementedError(
             "models returning a non-None span_prep must implement "
-            "score_span_prepared"
+            "score_span_prepared or score_spans_prepared"
         )
+
+    def score_spans_prepared(
+        self,
+        prep: Any,
+        terms: list[str],
+        profile: QuestionProfile,
+        tokens: list[Token],
+        spans: Sequence[tuple[int, int, tuple[int, int]]],
+        compiled: CompiledContext | None = None,
+    ) -> list[float]:
+        """Raw scores of ``spans`` — ``(start, end, bounds)`` triples — in order.
+
+        Must equal one :meth:`_span_score` per span, which is what the
+        default does.  Models whose spans share work override it to pay
+        that work once per call (the embedding member scores each
+        distinct window once); ``compiled``, when given, serves
+        question-independent tables such as the embedding matrix.
+        """
+        return [
+            self._span_score(prep, terms, profile, tokens, start, end, bounds)
+            for start, end, bounds in spans
+        ]
 
     def _span_score(
         self,
@@ -344,11 +366,16 @@ class SpanScoringQA(QAModel):
             AnswerType.PLACE,
             AnswerType.ENTITY,
         )
+        last = len(tokens) - 1
+        bounded = [
+            (start, end, (sent_bounds[start][0], sent_bounds[min(end, last)][1]))
+            for start, end in spans
+        ]
+        raws = self.score_spans_prepared(
+            prep, terms, profile, tokens, bounded, compiled
+        )
         scored = []
-        for start, end in spans:
-            lo = sent_bounds[start][0]
-            hi = sent_bounds[min(end, len(tokens) - 1)][1]
-            raw = self._span_score(prep, terms, profile, tokens, start, end, (lo, hi))
+        for (start, end, _bounds), raw in zip(bounded, raws):
             raw -= self.length_penalty * (end - start)
             if (start, end) in typed:
                 raw += self.typed_prior

@@ -16,12 +16,21 @@ the compiler on and off are bit-identical
 (``tests/test_compiled_context.py`` asserts this over randomized
 paragraphs for all four span-scoring models).
 
-Memory contract: :func:`estimate_compiled_bytes` *measures* the tables a
-context has actually materialized, and every lazy fill notifies the
-owning cache (see :meth:`CompiledContext.bind_accounting` /
-:meth:`repro.utils.cache.LRUCache.reaccount`), so the compiler's byte
+Memory contract: every context keeps a running ``nbytes`` total of the
+tables it has actually materialized.  Each lazy fill charges the bytes of
+only the entry it just stored, in the same critical section that stores
+it (a racing double compute charges once), and a ``_MAX_PREPS`` reset
+subtracts the running total of the table it drops.  The owning cache
+then re-reads ``nbytes`` in O(1) (see :meth:`CompiledContext.bind_accounting`
+/ :meth:`repro.utils.cache.LRUCache.reaccount`), so the compiler's byte
 budget is an invariant over the measured footprint — not a guess taken
-at insert time.
+at insert time.  :func:`estimate_compiled_bytes` walks a whole artifact
+and stays the test oracle: ``nbytes`` always equals it.  Re-walking the
+artifact on every fill took about 30% of a profiled fresh distill (see
+``docs/performance.md``).  Question-independent arrays (the
+embedding member's context matrix) live once in the derived table and
+are never held by the per-question preps, so they are charged once per
+paragraph.
 
 Snapshot contract: compiled artifacts :meth:`export_state` /
 :meth:`import_state` across process boundaries for the pipeline snapshot
@@ -69,6 +78,8 @@ class CompiledContext:
         text: the raw context string (the cache key's content).
         tokens: ``tokenize(text)``, computed eagerly — every consumer
             needs it, and its length drives the byte estimate.
+        nbytes: running byte footprint of the materialized tables; equals
+            :func:`estimate_compiled_bytes` at every point between fills.
     """
 
     def __init__(self, text: str) -> None:
@@ -100,20 +111,35 @@ class CompiledContext:
         # question of the same joined text constantly, and hydrated
         # workers skip span scoring entirely on known pairs.
         self._predictions: dict = {}
+        self.nbytes = _base_bytes(self)
+        # Running totals of the tables a _MAX_PREPS reset drops whole.
+        self._bounded_bytes = dict.fromkeys(_BOUNDED_TABLES, 0)
+        # Guards check-and-store plus the byte charge of every fill.
+        self._lock = threading.Lock()
         # Owning-cache notification, installed by bind_accounting();
         # called after every lazy fill so byte accounting stays measured.
         self._accounting = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
+        del state["_lock"]
         # The accounting binding closes over the owning cache; the
         # receiving process re-binds when it caches the artifact.
         state["_accounting"] = None
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     # -------------------------------------------------------- byte accounting
     def bind_accounting(self, cache: LRUCache, key) -> None:
-        """Re-measure this artifact in ``cache`` whenever a table fills in."""
+        """Re-read :attr:`nbytes` into ``cache`` whenever a table fills in.
+
+        Bind *before* inserting into ``cache``: a fill that lands between
+        the two then finds no entry to re-read, and the insert reads the
+        already-grown total.
+        """
         self._accounting = (cache, key)
 
     def _grown(self) -> None:
@@ -122,13 +148,62 @@ class CompiledContext:
             cache, key = binding
             cache.reaccount(key)
 
+    def _store(self, table: str, key, value, cost):
+        """Store ``value`` in table ``table`` under ``key``, once.
+
+        Check, store and charge ``cost(key, value)`` bytes happen under
+        one lock, so when racing threads compute the same entry the first
+        store wins, the others get its value back, and the bytes are
+        charged once.  Tables in ``_BOUNDED_TABLES`` reset when they hold
+        more than ``_MAX_PREPS`` entries.
+        """
+        with self._lock:
+            entries = getattr(self, table)
+            current = entries.get(key, MISSING)
+            if current is not MISSING:
+                return current
+            bounded = table in self._bounded_bytes
+            if bounded and len(entries) > _MAX_PREPS:
+                self._reset(table)
+            size = cost(key, value)
+            entries[key] = value
+            self.nbytes += size
+            if bounded:
+                self._bounded_bytes[table] += size
+        self._grown()
+        return value
+
+    def _store_slot(self, slot: str, value, cost):
+        """:meth:`_store` for the single-valued tables (``None`` = empty)."""
+        with self._lock:
+            current = getattr(self, slot)
+            if current is not None:
+                return current
+            setattr(self, slot, value)
+            self.nbytes += cost(value)
+        self._grown()
+        return value
+
+    def _reset(self, table: str) -> None:
+        """Empty a bounded table and un-charge it; caller holds the lock."""
+        getattr(self, table).clear()
+        self.nbytes -= self._bounded_bytes[table]
+        self._bounded_bytes[table] = 0
+
+    def clear_predictions(self) -> None:
+        """Drop the whole-prediction memo (keeps every other table warm)."""
+        with self._lock:
+            self._reset("_predictions")
+        self._grown()
+
     # ------------------------------------------------------ context tables
     def sentence_bounds(self, model) -> list[tuple[int, int]]:
         """``SpanScoringQA.sentence_bounds(tokens)``, computed once."""
         bounds = self._sentence_bounds
         if bounds is None:
-            bounds = self._sentence_bounds = model.sentence_bounds(self.tokens)
-            self._grown()
+            bounds = self._store_slot(
+                "_sentence_bounds", model.sentence_bounds(self.tokens), _bounds_bytes
+            )
         return bounds
 
     def pos_tags(self, tagger) -> list[str]:
@@ -139,16 +214,20 @@ class CompiledContext:
         """
         tags = self._tags
         if tags is None:
-            tags = self._tags = tagger.tag([t.text for t in self.tokens])
-            self._grown()
+            tags = self._store_slot(
+                "_tags", tagger.tag([t.text for t in self.tokens]), _tags_bytes
+            )
         return tags
 
     def _kind_spans(self, kind: str, answer_type: AnswerType) -> frozenset:
         spans = self._span_kinds.get(kind)
         if spans is None:
-            spans = frozenset(candidate_spans(self.tokens, answer_type))
-            self._span_kinds[kind] = spans
-            self._grown()
+            spans = self._store(
+                "_span_kinds",
+                kind,
+                frozenset(candidate_spans(self.tokens, answer_type)),
+                _span_kind_bytes,
+            )
         return spans
 
     def span_sets(
@@ -167,8 +246,9 @@ class CompiledContext:
             spans = typed
             if answer_type is AnswerType.ENTITY or not spans:
                 spans = spans | self._kind_spans("phrase", AnswerType.PHRASE)
-            cached = self._span_sets[answer_type] = (typed, spans)
-            self._grown()
+            cached = self._store(
+                "_span_sets", answer_type, (typed, spans), _span_set_bytes
+            )
         return cached
 
     # ----------------------------------------------------- sentence artifacts
@@ -181,8 +261,9 @@ class CompiledContext:
         """
         sents = self._sentences
         if sents is None:
-            sents = self._sentences = tuple(split_sentences(self.text))
-            self._grown()
+            sents = self._store_slot(
+                "_sentences", tuple(split_sentences(self.text)), _sentences_bytes
+            )
         return sents
 
     def sentence_predictions(self, question: str, factory) -> tuple:
@@ -194,11 +275,9 @@ class CompiledContext:
         """
         preds = self._sentence_preds.get(question, MISSING)
         if preds is MISSING:
-            if len(self._sentence_preds) > _MAX_PREPS:
-                self._sentence_preds.clear()
-            preds = tuple(factory())
-            self._sentence_preds[question] = preds
-            self._grown()
+            preds = self._store(
+                "_sentence_preds", question, tuple(factory()), _sentence_preds_bytes
+            )
         return preds
 
     def prediction(self, name: str | None, question: str, factory):
@@ -212,11 +291,7 @@ class CompiledContext:
         key = (name, question)
         pred = self._predictions.get(key, MISSING)
         if pred is MISSING:
-            if len(self._predictions) > _MAX_PREPS:
-                self._predictions.clear()
-            pred = factory()
-            self._predictions[key] = pred
-            self._grown()
+            pred = self._store("_predictions", key, factory(), _prediction_bytes)
         return pred
 
     # ------------------------------------------------- per-model artifacts
@@ -232,15 +307,12 @@ class CompiledContext:
         key = (model.prep_key, profile.terms)
         prep = self._preps.get(key, MISSING)
         if prep is MISSING:
-            if len(self._preps) > _MAX_PREPS:
-                self._preps.clear()
             name = getattr(model, "name", None)
             prep = self._imported_preps.get((name, profile.terms), MISSING)
             if prep is MISSING:
                 prep = model.span_prep(profile, self.tokens, compiled=self)
-            self._preps[key] = prep
             self._prep_names[key[0]] = name
-            self._grown()
+            prep = self._store("_preps", key, prep, _opaque_entry_bytes)
         return prep
 
     def derive(self, key, factory):
@@ -248,9 +320,7 @@ class CompiledContext:
         embedding matrix) under ``key``; ``factory`` runs at most once."""
         value = self._derived.get(key, MISSING)
         if value is MISSING:
-            value = factory()
-            self._derived[key] = value
-            self._grown()
+            value = self._store("_derived", key, factory(), _opaque_entry_bytes)
         return value
 
     # -------------------------------------------------------- snapshot plane
@@ -320,7 +390,13 @@ class CompiledContext:
         compiled._sentences = tuple(sentences) if sentences is not None else None
         compiled._sentence_preds = dict(state["sentence_preds"])
         compiled._predictions = dict(state["predictions"])
+        compiled._lock = threading.Lock()
         compiled._accounting = None
+        compiled.nbytes = estimate_compiled_bytes(compiled)
+        compiled._bounded_bytes = {
+            table: _table_bytes(getattr(compiled, table), _TABLE_COSTS[table])
+            for table in _BOUNDED_TABLES
+        }
         return compiled
 
 
@@ -339,6 +415,13 @@ def _opaque_bytes(value, depth: int = 0) -> int:
     arrays, dicts of floats) with array buffers measured exactly via
     ``nbytes``; unknown leaves get a flat object charge.
     """
+    # Exact builtin scalars first: they fill the per-token prep tables
+    # and have no ``nbytes`` (numpy scalars, which do, miss this path).
+    kind = type(value)
+    if kind is str:
+        return 49 + len(value)
+    if value is None or kind is int or kind is float or kind is bool:
+        return 28
     nbytes = getattr(value, "nbytes", None)
     if isinstance(nbytes, int):
         return 16 + nbytes
@@ -351,7 +434,7 @@ def _opaque_bytes(value, depth: int = 0) -> int:
     if depth >= 4:
         return 64
     if isinstance(value, (list, tuple, set, frozenset)):
-        return 56 + sum(_opaque_bytes(item, depth + 1) for item in value)
+        return 56 + sum([_opaque_bytes(item, depth + 1) for item in value])
     if isinstance(value, dict):
         return 64 + sum(
             _opaque_bytes(k, depth + 1) + _opaque_bytes(v, depth + 1)
@@ -360,45 +443,97 @@ def _opaque_bytes(value, depth: int = 0) -> int:
     return 128
 
 
+# Byte cost of one entry of each table; the fill path charges these one
+# entry at a time and estimate_compiled_bytes sums them over a whole
+# artifact, so the running total and the oracle share one definition.
+def _base_bytes(compiled: CompiledContext) -> int:
+    return (
+        256
+        + len(compiled.text)
+        + 72 * len(compiled.tokens)
+        + sum(len(token.text) for token in compiled.tokens)
+    )
+
+
+def _bounds_bytes(bounds) -> int:
+    return 64 + 16 * len(bounds)
+
+
+def _tags_bytes(tags) -> int:
+    return 64 + 24 * len(tags)
+
+
+def _sentences_bytes(sentences) -> int:
+    return 64 + sum(88 + len(sentence.text) for sentence in sentences)
+
+
+def _span_kind_bytes(_kind, spans) -> int:
+    return 64 + 80 * len(spans)
+
+
+def _span_set_bytes(_answer_type, pair) -> int:
+    # The pair usually aliases the kind sets; a distinct union (ENTITY
+    # fallback) is a new frozenset and charged as one.
+    typed, spans = pair
+    return 32 if spans is typed else 64 + 80 * len(spans)
+
+
+def _sentence_preds_bytes(question, preds) -> int:
+    return 56 + len(question) + sum(112 + len(pred.text) for pred in preds)
+
+
+def _prediction_bytes(key, pred) -> int:
+    name, question = key
+    return 56 + len(name or "") + len(question) + 112 + len(pred.text)
+
+
+def _opaque_entry_bytes(_key, value) -> int:
+    return 96 + _opaque_bytes(value)
+
+
+_SLOT_COSTS = {
+    "_sentence_bounds": _bounds_bytes,
+    "_tags": _tags_bytes,
+    "_sentences": _sentences_bytes,
+}
+_TABLE_COSTS = {
+    "_span_kinds": _span_kind_bytes,
+    "_span_sets": _span_set_bytes,
+    "_sentence_preds": _sentence_preds_bytes,
+    "_predictions": _prediction_bytes,
+    "_preps": _opaque_entry_bytes,
+    "_imported_preps": _opaque_entry_bytes,
+    "_derived": _opaque_entry_bytes,
+}
+# Tables that reset whole above _MAX_PREPS entries.
+_BOUNDED_TABLES = ("_preps", "_predictions", "_sentence_preds")
+
+
+def _table_bytes(entries: dict, cost) -> int:
+    return sum(cost(key, value) for key, value in entries.items())
+
+
 def estimate_compiled_bytes(compiled: CompiledContext) -> int:
     """Measured footprint of one compiled context's materialized tables.
 
-    Pure function of the tables currently present: called at insert time
-    *and* re-run by :meth:`LRUCache.reaccount` after every lazy fill (see
-    :meth:`CompiledContext.bind_accounting`), so the owning cache's byte
-    accounting always equals this measure over its current values.
+    A full walk of the artifact.  The fill path never calls it: each fill
+    charges only its own entry to :attr:`CompiledContext.nbytes`, and
+    this function is the oracle the tests hold that running total (and
+    the owning cache's accounted bytes) to.
     """
-    total = 256 + len(compiled.text)
-    total += 72 * len(compiled.tokens) + sum(
-        len(token.text) for token in compiled.tokens
-    )
-    if compiled._sentence_bounds is not None:
-        total += 64 + 16 * len(compiled._sentence_bounds)
-    if compiled._tags is not None:
-        total += 64 + 24 * len(compiled._tags)
-    for spans in compiled._span_kinds.values():
-        total += 64 + 80 * len(spans)
-    for typed, spans in compiled._span_sets.values():
-        # The pair usually aliases the kind sets; a distinct union
-        # (ENTITY fallback) is a new frozenset and charged as one.
-        total += 32 if spans is typed else 64 + 80 * len(spans)
-    if compiled._sentences is not None:
-        total += 64 + sum(
-            88 + len(sentence.text) for sentence in compiled._sentences
-        )
-    for question, preds in compiled._sentence_preds.items():
-        total += 56 + len(question) + sum(
-            112 + len(pred.text) for pred in preds
-        )
-    for (name, question), pred in compiled._predictions.items():
-        total += 56 + len(name or "") + len(question) + 112 + len(pred.text)
-    for prep in compiled._preps.values():
-        total += 96 + _opaque_bytes(prep)
-    for key, prep in compiled._imported_preps.items():
-        total += 96 + _opaque_bytes(prep)
-    for value in compiled._derived.values():
-        total += 96 + _opaque_bytes(value)
+    total = _base_bytes(compiled)
+    for slot, cost in _SLOT_COSTS.items():
+        value = getattr(compiled, slot)
+        if value is not None:
+            total += cost(value)
+    for table, cost in _TABLE_COSTS.items():
+        total += _table_bytes(getattr(compiled, table), cost)
     return total
+
+
+def _accounted_bytes(compiled: CompiledContext) -> int:
+    """The compiler caches' ``size_estimator``: the running total, O(1)."""
+    return compiled.nbytes
 
 
 class ContextCompiler:
@@ -423,7 +558,7 @@ class ContextCompiler:
     ) -> None:
         self.cache = LRUCache(
             capacity=capacity,
-            size_estimator=estimate_compiled_bytes,
+            size_estimator=_accounted_bytes,
             max_bytes=max_bytes,
         )
         # Short-reuse texts — the clip search's candidate evidences,
@@ -433,7 +568,7 @@ class ContextCompiler:
         # artifacts from the main LRU.
         self.scratch = LRUCache(
             capacity=scratch_capacity,
-            size_estimator=estimate_compiled_bytes,
+            size_estimator=_accounted_bytes,
             max_bytes=scratch_max_bytes,
         )
         self._transient = threading.local()
@@ -487,14 +622,14 @@ class ContextCompiler:
             if compiled is not MISSING:
                 return compiled
             compiled = CompiledContext(context)
-            self.scratch.put(context, compiled)
             compiled.bind_accounting(self.scratch, context)
+            self.scratch.put(context, compiled)
             return compiled
         compiled = self.cache.get(context, MISSING)
         if compiled is MISSING:
             compiled = CompiledContext(context)
-            self.cache.put(context, compiled)
             compiled.bind_accounting(self.cache, context)
+            self.cache.put(context, compiled)
         return compiled
 
     # -------------------------------------------------------- snapshot plane

@@ -88,42 +88,70 @@ class EmbeddingQA(SpanScoringQA):
     def span_prep(
         self, profile: QuestionProfile, tokens: list[Token], compiled=None
     ):
-        """Context word-embedding matrix plus word-position prefix counts.
+        """The question's mean vector and its norm.
 
-        Window means become contiguous row slices of one stacked matrix
-        (word tokens inside a token range are consecutive in word-only
-        order), so each span pays one ``mean`` instead of rebuilding the
-        matrix from per-token dictionary lookups.  The matrix is
-        question-independent; with a compiled context it is derived once
-        per paragraph and shared across questions.
+        The context side — the stacked word-embedding matrix — is not
+        part of the prep: it is question-independent, so with a compiled
+        context it is derived once per paragraph (and charged once to the
+        compiler's byte budget) and fetched at scoring time.
         """
         qv = self._question_vector(tuple(profile.terms))
-        qn = np.linalg.norm(qv)
-        if compiled is not None:
-            matrix, word_prefix = compiled.derive(
-                (self.prep_key, "embedding-matrix"),
-                lambda: self._context_matrix(tokens),
-            )
-        else:
-            matrix, word_prefix = self._context_matrix(tokens)
-        return (qv, qn, matrix, word_prefix)
+        return (qv, np.linalg.norm(qv))
 
-    def score_span_prepared(
+    def _context_table(
+        self, tokens: list[Token], compiled
+    ) -> tuple[np.ndarray, list[int]]:
+        if compiled is None:
+            return self._context_matrix(tokens)
+        return compiled.derive(
+            (self.prep_key, "embedding-matrix"),
+            lambda: self._context_matrix(tokens),
+        )
+
+    def score_spans_prepared(
         self,
         prep,
+        terms: list[str],
         profile: QuestionProfile,
         tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None = None,
-    ) -> float:
-        qv, qn, matrix, word_prefix = prep
+        spans,
+        compiled=None,
+    ) -> list[float]:
+        """Window-mean cosines, one per distinct word window.
+
+        A window mean is a contiguous row slice of the context matrix
+        (word tokens inside a token range are consecutive in word-only
+        order).  Spans clamp to their sentence bounds, so most spans of
+        one call share a window with another; each distinct slice is
+        averaged once.
+        """
+        if prep is None:
+            return super().score_spans_prepared(
+                prep, terms, profile, tokens, spans, compiled
+            )
+        qv, qn = prep
         if qn == 0.0:
-            return 0.0
-        lo_limit, hi_limit = bounds if bounds is not None else (0, len(tokens))
-        lo = max(lo_limit, start - self.window)
-        hi = min(hi_limit, end + self.window + 1)
-        window = matrix[word_prefix[lo] : word_prefix[hi]]
+            return [0.0] * len(spans)
+        matrix, word_prefix = self._context_table(tokens, compiled)
+        window = self.window
+        by_window: dict[tuple[int, int], float] = {}
+        scores = []
+        for start, end, (lo_limit, hi_limit) in spans:
+            rows = (
+                word_prefix[max(lo_limit, start - window)],
+                word_prefix[min(hi_limit, end + window + 1)],
+            )
+            score = by_window.get(rows)
+            if score is None:
+                score = by_window[rows] = self._window_cosine(qv, qn, matrix, *rows)
+            scores.append(score)
+        return scores
+
+    def _window_cosine(
+        self, qv: np.ndarray, qn: float, matrix: np.ndarray, lo: int, hi: int
+    ) -> float:
+        """Cosine between ``qv`` and the mean of ``matrix[lo:hi]``."""
+        window = matrix[lo:hi]
         if window.shape[0] == 0:
             sv = np.zeros(self.embeddings.dim)
         else:

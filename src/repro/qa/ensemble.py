@@ -50,35 +50,43 @@ class EnsembleQA(SpanScoringQA):
     def span_prep(
         self, profile: QuestionProfile, tokens: list[Token], compiled=None
     ):
-        """Member preps plus the shared terms list for fallback members.
+        """The member preps, in member order.
 
-        ``compiled`` passes through to the members, so question-shared
-        artifacts (the embedding member's context matrix) are derived
-        once per paragraph even though the ensemble-level prep is
-        memoized per question.
+        ``compiled`` passes through to the members, so any
+        question-independent tables they derive are shared per paragraph
+        even though the ensemble-level prep is memoized per question.
         """
-        return (
-            list(profile.terms),
-            [
-                model.span_prep(profile, tokens, compiled=compiled)
-                for model, _weight in self.members
-            ],
-        )
+        return [
+            model.span_prep(profile, tokens, compiled=compiled)
+            for model, _weight in self.members
+        ]
 
-    def score_span_prepared(
+    def score_spans_prepared(
         self,
         prep,
+        terms: list[str],
         profile: QuestionProfile,
         tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None = None,
-    ) -> float:
-        terms, member_preps = prep
-        return sum(
-            weight
-            * model._span_score(
-                member_prep, terms, profile, tokens, start, end, bounds
+        spans,
+        compiled=None,
+    ) -> list[float]:
+        """Weighted member scores, one batch call per member.
+
+        Each span's total is ``sum`` over the members in member order —
+        the same float operations as :meth:`score_span`.
+        """
+        if prep is None:
+            return super().score_spans_prepared(
+                prep, terms, profile, tokens, spans, compiled
             )
-            for (model, weight), member_prep in zip(self.members, member_preps)
-        )
+        weights = [weight for _model, weight in self.members]
+        member_scores = [
+            model.score_spans_prepared(
+                member_prep, terms, profile, tokens, spans, compiled
+            )
+            for (model, _weight), member_prep in zip(self.members, prep)
+        ]
+        return [
+            sum(weight * score for weight, score in zip(weights, column))
+            for column in zip(*member_scores)
+        ]

@@ -65,10 +65,6 @@ class ServiceTelemetry:
             "HTTP requests served, by route and status code",
             labelnames=("route", "status"),
         )
-        self.http_latency = registry.histogram(
-            f"{_PREFIX}_http_request_duration_seconds",
-            "Wall-clock HTTP request latency",
-        )
         self.http_route_latency = registry.histogram(
             f"{_PREFIX}_http_request_seconds",
             "Wall-clock HTTP request latency, by route",
@@ -128,7 +124,6 @@ class ServiceTelemetry:
     ) -> None:
         """Record one finished HTTP request."""
         self.http_requests.labels(route=route, status=str(status)).inc()
-        self.http_latency.observe(seconds)
         self.http_route_latency.labels(route=route).observe(seconds)
         if shed_reason is not None:
             self.http_shed.labels(reason=shed_reason).inc()

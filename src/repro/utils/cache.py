@@ -67,10 +67,14 @@ class LRUCache:
     :meth:`put` time; values that grow afterwards (lazily compiled
     artifacts) call :meth:`reaccount` so the accounted total tracks the
     estimator exactly — with cooperating values the budget is an
-    invariant, not a guideline.  The most recent entry is never evicted
-    on byte pressure, so a single oversized value still caches (a cache
-    that rejects its own inserts would silently degrade to a 0% hit
-    rate).
+    invariant, not a guideline.  The estimator runs under the lock on
+    every :meth:`put` and :meth:`reaccount`, so it should be O(1): values
+    that grow keep their own running total and the estimator reads it
+    (compiled contexts keep ``nbytes``; a full re-walk per fill took
+    about 30% of a profiled fresh distill).  The most recent entry is
+    never evicted on byte pressure, so a single oversized value still
+    caches (a cache that rejects its own inserts would silently degrade
+    to a 0% hit rate).
 
     A cache may also carry a read-through ``loader`` (installed after
     construction, e.g. by the pipeline-snapshot plane): on a :meth:`get`
@@ -230,9 +234,12 @@ class LRUCache:
         Lazily-materialized values (compiled-context tables) call this
         through their owning cache binding whenever a new table fills in,
         so the accounted total always equals the estimator applied to the
-        *current* values — making ``max_bytes`` a real invariant.  Runs
-        the same eviction loop as :meth:`put`; returns the new size (0 if
-        the key is absent or the cache has no estimator).
+        *current* values — making ``max_bytes`` a real invariant.  A
+        compiled context has already added the filled table's bytes to its
+        running ``nbytes``, so re-measuring is one O(1) read and the lock
+        is held only for the delta and any evictions.  Runs the same
+        eviction loop as :meth:`put`; returns the new size (0 if the key
+        is absent or the cache has no estimator).
         """
         if self._sizes is None:
             return 0

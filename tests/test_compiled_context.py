@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import GCED
 from repro.core.config import GCEDConfig
 from repro.qa.answer_types import AnswerType
-from repro.qa.compiled import CompiledContext, ContextCompiler
+from repro.qa.compiled import (
+    CompiledContext,
+    ContextCompiler,
+    _opaque_bytes,
+    estimate_compiled_bytes,
+)
 from repro.qa.base import SpanScoringQA
 
 from tests.conftest import QA_CASES
@@ -271,3 +277,119 @@ class TestCompilerCache:
         snap = compiler.snapshot()
         assert snap.size < 50
         assert snap.bytes <= 40_000
+
+
+def _arrays(value):
+    """Every numpy array reachable through a prep's containers."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+class TestSharedMatrixBytes:
+    def test_second_question_adds_only_question_bytes(self, fresh_models):
+        reader = fresh_models[0]
+        question, _answer, context = QA_CASES[0]
+        reader.predict(question, context)
+        compiled = reader.context_compiler.cache.peek(context)
+        (matrix, _prefix), = [
+            value
+            for key, value in compiled._derived.items()
+            if key[1] == "embedding-matrix"
+        ]
+        before = compiled.nbytes
+        derived = dict(compiled._derived)
+        preps = dict(compiled._preps)
+        # Same answer type (ENTITY), new terms: only the question-keyed
+        # prep and prediction entries may grow.
+        reader.predict("Which team lost the title game?", context)
+        assert compiled._derived == derived
+        (new_key,) = set(compiled._preps) - set(preps)
+        new_prep = compiled._preps[new_key]
+        assert all(array.ndim == 1 for array in _arrays(new_prep))
+        assert not any(array is matrix for array in _arrays(new_prep))
+        expected = (
+            96 + _opaque_bytes(new_prep)
+            + 56 + len(reader.name) + len("Which team lost the title game?")
+            + 112 + len(compiled._predictions[
+                (reader.name, "Which team lost the title game?")
+            ].text)
+        )
+        assert compiled.nbytes - before == expected
+        assert compiled.nbytes - before < matrix.nbytes
+        assert compiled.nbytes == estimate_compiled_bytes(compiled)
+
+
+class TestAccountingCost:
+    """Counts (not timings) of the per-fill accounting and scoring work.
+
+    A fixed seeded distill workload, with the functions that do the work
+    patched to count their calls; the counts repeat exactly run to run.
+    """
+
+    def test_fill_path_costs(self, artifacts, fresh_models, squad_dataset, monkeypatch):
+        from repro.qa import compiled as compiled_module
+        from repro.qa.embedding import EmbeddingQA
+
+        calls = {"estimate": 0, "measured": 0, "stored": 0, "windows": 0,
+                 "distinct": 0, "spans": 0}
+        estimate = compiled_module.estimate_compiled_bytes
+        measure = compiled_module._opaque_entry_bytes
+        store = CompiledContext._store
+        window_cosine = EmbeddingQA._window_cosine
+        score_spans = EmbeddingQA.score_spans_prepared
+
+        def counting_estimate(compiled):
+            calls["estimate"] += 1
+            return estimate(compiled)
+
+        def counting_measure(key, value):
+            calls["measured"] += 1
+            return measure(key, value)
+
+        def counting_store(self, table, key, value, cost):
+            result = store(self, table, key, value, cost)
+            if table in ("_preps", "_derived") and result is value:
+                calls["stored"] += 1
+            return result
+
+        def counting_cosine(self, *args):
+            calls["windows"] += 1
+            return window_cosine(self, *args)
+
+        def counting_spans(self, prep, terms, profile, tokens, spans, compiled=None):
+            if prep is not None and prep[1] != 0.0:
+                prefix = [0]
+                for token in tokens:
+                    prefix.append(prefix[-1] + token.is_word)
+                calls["spans"] += len(spans)
+                calls["distinct"] += len({
+                    (prefix[max(lo, start - self.window)],
+                     prefix[min(hi, end + self.window + 1)])
+                    for start, end, (lo, hi) in spans
+                })
+            return score_spans(self, prep, terms, profile, tokens, spans, compiled)
+
+        monkeypatch.setattr(compiled_module, "estimate_compiled_bytes", counting_estimate)
+        monkeypatch.setattr(compiled_module, "_opaque_entry_bytes", counting_measure)
+        monkeypatch.setattr(CompiledContext, "_store", counting_store)
+        monkeypatch.setattr(EmbeddingQA, "_window_cosine", counting_cosine)
+        monkeypatch.setattr(EmbeddingQA, "score_spans_prepared", counting_spans)
+
+        pipeline = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        examples = [e for e in squad_dataset.dev if not e.is_impossible][:6]
+        for example in examples:
+            pipeline.distill(example.question, example.answers[0], example.context)
+        for question, answer, context in QA_CASES:
+            pipeline.distill(question, answer, context)
+
+        # The fill path never re-walks an artifact ...
+        assert calls["estimate"] == 0
+        # ... and measures each stored prep / derived value exactly once.
+        assert calls["stored"] > 0
+        assert calls["measured"] == calls["stored"]
+        # One window mean per distinct window, well below one per span.
+        assert calls["windows"] == calls["distinct"]
+        assert 0 < calls["windows"] < calls["spans"]

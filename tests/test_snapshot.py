@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
+import threading
 
 import pytest
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 
@@ -31,7 +34,12 @@ from repro.engine.snapshot import (
     pack_entry_map,
 )
 from repro.lm.ngram import FlatNGramTables, NGramLanguageModel
-from repro.qa.compiled import CompiledContext, ContextCompiler, estimate_compiled_bytes
+from repro.qa.compiled import (
+    _MAX_PREPS,
+    CompiledContext,
+    ContextCompiler,
+    estimate_compiled_bytes,
+)
 from repro.retrieval.index import InvertedIndex
 from repro.utils.cache import LRUCache, MISSING
 
@@ -337,6 +345,97 @@ class TestCompiledAccounting:
         # the *current* (lazily grown) values, and respect the budget.
         assert cache._bytes == measured
         assert cache.max_bytes is None or cache._bytes <= cache.max_bytes
+
+    @staticmethod
+    def _assert_accounted(cache: LRUCache) -> None:
+        values = [value for _key, value in cache.items()]
+        for value in values:
+            assert value.nbytes == estimate_compiled_bytes(value)
+        assert cache._bytes == sum(estimate_compiled_bytes(v) for v in values)
+        assert cache.max_bytes is None or cache._bytes <= cache.max_bytes
+
+    def test_bounded_tables_reset_uncharges_them(self, artifacts):
+        reader = artifacts.reader
+        compiler = ContextCompiler()
+        saved, reader.context_compiler = reader.context_compiler, compiler
+        question_count = 2 * _MAX_PREPS + 10
+        _question, _answer, context = QA_CASES[0]
+        try:
+            compiled = compiler.compile(context)
+            for i in range(question_count):
+                # Distinct terms, so every question is a new prep.
+                question = f"Which team won title number q{i}x?"
+                reader.predict(question, context)
+                compiled.sentence_predictions(
+                    question,
+                    lambda q=question: reader.predict_batch(
+                        q, [s.text for s in compiled.sentences()]
+                    ),
+                )
+        finally:
+            reader.context_compiler = saved
+        # Every bounded table reset at least once on the way.
+        for table in (compiled._preps, compiled._predictions, compiled._sentence_preds):
+            assert 0 < len(table) <= _MAX_PREPS + 1
+        self._assert_accounted(compiler.cache)
+
+    def test_import_state_hydration_keeps_accounting(self, artifacts):
+        reader = artifacts.reader
+        warm = ContextCompiler()
+        saved, reader.context_compiler = reader.context_compiler, warm
+        try:
+            for question, _answer, context in QA_CASES:
+                reader.predict(question, context)
+            states = warm.export_states()
+            for state in states.values():
+                imported = CompiledContext.import_state(state)
+                assert imported.nbytes == estimate_compiled_bytes(imported)
+            cold = ContextCompiler()
+            cold.attach_snapshot(lambda text: states.get(text, MISSING))
+            reader.context_compiler = cold
+            for question, _answer, context in QA_CASES:
+                # A known pair (prediction memo), a re-worded question
+                # with the same terms (imported prep promoted into the
+                # prep table), and a new question.
+                reader.predict(question, context)
+                reader.predict(question.rstrip("?"), context)
+                reader.predict("Who attended the ceremony?", context)
+        finally:
+            reader.context_compiler = saved
+        assert cold.cache.loader_hits == len(states)
+        self._assert_accounted(cold.cache)
+
+    def test_concurrent_fills_charge_once(self, artifacts):
+        reader = artifacts.reader
+        # Small caches, so evictions race with fills as well.
+        compiler = ContextCompiler(capacity=3, scratch_capacity=4)
+        paragraphs = list(CORPUS) + [f"{CORPUS[0]} Extra {i}." for i in range(3)]
+        questions = [q for q, _a, _c in QA_CASES]
+        barrier = threading.Barrier(8, timeout=60)
+
+        def hammer(seed: int) -> None:
+            for i in range(30):
+                # Every thread starts the same fresh pair at once, so
+                # they race to fill the same slots.
+                question = questions[i % len(questions)]
+                context = paragraphs[i % len(paragraphs)]
+                barrier.wait()
+                reader.predict(question, context)
+                with compiler.transient():
+                    sentences = [s.strip() + "." for s in context.split(".") if s.strip()]
+                    reader.predict_batch(question, sentences[seed % 2 :][:2])
+
+        saved, reader.context_compiler = reader.context_compiler, compiler
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(hammer, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+            reader.context_compiler = saved
+        self._assert_accounted(compiler.cache)
+        self._assert_accounted(compiler.scratch)
 
     def test_reaccount_evicts_on_growth(self):
         cache = LRUCache(
