@@ -55,7 +55,7 @@ def _recovered_round(ctx, triples, reference):
     os.environ[ENV_VAR] = f"worker.distill:die:times=1,token={token}"
     try:
         gced = _fresh_pipeline(ctx)
-        with BatchDistiller(gced, workers=2, backend="process") as batch:
+        with BatchDistiller(gced, workers=2) as batch:
             started = time.perf_counter()
             results = batch.distill_many(triples)
             batch_ms = 1000.0 * (time.perf_counter() - started)
@@ -86,7 +86,7 @@ def test_fault_recovery():
     # Healthy leg: same pool shape, no faults — the baseline wall-clock
     # a recovered batch is compared against in the context payload.
     gced = _fresh_pipeline(ctx)
-    with BatchDistiller(gced, workers=2, backend="process") as batch:
+    with BatchDistiller(gced, workers=2) as batch:
         started = time.perf_counter()
         healthy = batch.distill_many(triples)
         healthy_ms = 1000.0 * (time.perf_counter() - started)

@@ -3,8 +3,8 @@
 Three measurements, all feeding the CI perf gate:
 
 * **index build** (docs/sec): sharded inverted-index construction,
-  serial vs thread-pool, with the byte-identity contract asserted on
-  every run;
+  serial vs a 4-worker process pool, with the byte-identity contract
+  asserted on every run;
 * **query** (queries/sec + p50/p95 ms): BM25 top-k over the built index,
   one query per dev example (question + answer terms);
 * **ask** (asks/sec): the full open-context path — retrieve top-k,
@@ -27,14 +27,12 @@ N_ASKS = sample_size("BENCH_ASK_REQUESTS", 8)
 BUILD_REPEATS = sample_size("BENCH_INDEX_BUILD_REPEATS", 5)
 
 
-def _measure_build(docs: list[str], workers: int, backend: str):
+def _measure_build(docs: list[str], workers: int):
     from repro.retrieval import CorpusRetriever, index_to_json
 
     started = time.perf_counter()
     for _ in range(BUILD_REPEATS):
-        retriever = CorpusRetriever.build(
-            docs, n_shards=4, workers=workers, backend=backend
-        )
+        retriever = CorpusRetriever.build(docs, n_shards=4, workers=workers)
     elapsed = time.perf_counter() - started
     docs_per_sec = len(docs) * BUILD_REPEATS / elapsed
     return retriever, docs_per_sec, index_to_json(retriever.index)
@@ -48,10 +46,8 @@ def test_retrieval_throughput():
     docs = list(ctx.dataset.contexts())
     examples = ctx.dataset.answerable_dev()
 
-    retriever, serial_build, serial_bytes = _measure_build(docs, 1, "thread")
-    _parallel, parallel_build, parallel_bytes = _measure_build(
-        docs, 4, "thread"
-    )
+    retriever, serial_build, serial_bytes = _measure_build(docs, 1)
+    _parallel, parallel_build, parallel_bytes = _measure_build(docs, 4)
     assert parallel_bytes == serial_bytes, "parallel shard build diverged"
 
     queries = [
@@ -84,7 +80,7 @@ def test_retrieval_throughput():
         "retrieval throughput (squad11 contexts)",
         f"  index build  serial   {serial_build:>9.1f} docs/s "
         f"({len(docs)} docs x {BUILD_REPEATS} builds)",
-        f"  index build  thread:4 {parallel_build:>9.1f} docs/s (byte-identical)",
+        f"  index build  process:4 {parallel_build:>8.1f} docs/s (byte-identical)",
         f"  query top-3  {queries_per_sec:>9.1f} q/s   "
         f"p50 {p50:.2f}ms  p95 {p95:.2f}ms  ({len(queries)} queries)",
         f"  open-context ask (k=2) {asks_per_sec:>6.2f} asks/s "

@@ -71,9 +71,7 @@ def _first_request_ms(ctx, triples, snapshot):
     reader.context_compiler = ContextCompiler()
     try:
         gced = _fresh_pipeline(ctx)
-        with BatchDistiller(
-            gced, workers=2, backend="process", snapshot=snapshot
-        ) as batch:
+        with BatchDistiller(gced, workers=2, snapshot=snapshot) as batch:
             started = time.perf_counter()
             results = batch.distill_many(triples)
             elapsed_ms = 1000.0 * (time.perf_counter() - started)

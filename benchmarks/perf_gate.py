@@ -30,7 +30,7 @@ comparisons.
 With ``PERF_GATE_MULTICORE=1`` the gate additionally enforces a hard
 floor of 1.3x on ``batch.parallel_speedup`` regardless of the baseline —
 only set it on runners with >= 2 CPUs.  On single-CPU runners (where the
-process backend cannot beat serial) leave it unset and the gate relies
+process pool cannot beat serial) leave it unset and the gate relies
 on ``snapshot.worker_warm_ms`` / ``snapshot.bytes`` instead.
 
 Absolute wall-clock varies across runner hardware more

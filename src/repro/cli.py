@@ -14,8 +14,8 @@ Commands:
 * ``experiment`` — run one of the paper's experiments and print the table.
 * ``errors`` — triage weak evidences (Sec. IV-G error analysis).
 
-``--workers N`` fans distillation out over the staged execution engine's
-parallel executor; ``--profile`` prints the per-stage wall-clock and
+``--workers N`` (N > 1) fans distillation out over the staged execution
+engine's process pool; ``--profile`` prints the per-stage wall-clock and
 shared-cache hit rates the engine collected.
 """
 
@@ -94,13 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--n-dev", type=int, default=60)
     p_batch.add_argument("--seed", type=int, default=0)
     p_batch.add_argument(
-        "--workers", type=int, default=1, help="executor pool size (1 = serial)"
-    )
-    p_batch.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
+        "--workers", type=int, default=1, help="1 = serial, N > 1 = process pool"
     )
     p_batch.add_argument(
         "--profile",
@@ -138,13 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="executor pool size for shard construction (1 = serial)",
-    )
-    p_index.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
+        help="shard construction: 1 = serial, N > 1 = process pool",
     )
 
     p_ask = sub.add_parser(
@@ -166,13 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scorer", default="bm25", choices=("bm25", "tfidf")
     )
     p_ask.add_argument(
-        "--workers", type=int, default=1, help="executor pool size (1 = serial)"
-    )
-    p_ask.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
+        "--workers", type=int, default=1, help="1 = serial, N > 1 = process pool"
     )
     p_ask.add_argument(
         "--json",
@@ -205,13 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--n-dev", type=int, default=60)
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
-        "--workers", type=int, default=1, help="executor pool size (1 = serial)"
-    )
-    p_serve.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
+        "--workers", type=int, default=1, help="1 = serial, N > 1 = process pool"
     )
     p_serve.add_argument(
         "--max-batch-size",
@@ -400,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n-dev", type=int, default=60)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument(
-        "--workers", type=int, default=1, help="executor pool size (1 = serial)"
+        "--workers", type=int, default=1, help="1 = serial, N > 1 = process pool"
     )
 
     p_err = sub.add_parser("errors", help="triage weak evidences (Sec. IV-G)")
@@ -473,9 +449,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     artifacts = QATrainer(seed=args.seed).train(dataset.contexts())
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     examples = dataset.answerable_dev()[: args.n_examples]
-    with BatchDistiller(
-        gced, workers=args.workers, backend=args.backend
-    ) as batch:
+    with BatchDistiller(gced, workers=args.workers) as batch:
         results = batch.distill_examples(examples)
         stats = batch.stats()
         print(stats.summary())
@@ -525,7 +499,6 @@ def _run_index(args: argparse.Namespace) -> int:
         docs,
         n_shards=args.shards,
         workers=args.workers,
-        backend=args.backend,
         metadata=metadata,
     )
     path = retriever.save(args.out)
@@ -553,7 +526,7 @@ def _run_ask(args: argparse.Namespace) -> int:
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     trace_handle = None
     with OpenContextDistiller(
-        BatchDistiller(gced, workers=args.workers, backend=args.backend),
+        BatchDistiller(gced, workers=args.workers),
         retriever,
         top_k=args.k,
     ) as distiller:
@@ -623,7 +596,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         n_train=args.n_train,
         n_dev=args.n_dev,
         workers=args.workers,
-        backend=args.backend,
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
         max_queue_depth=args.max_queue_depth,
@@ -664,7 +636,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _serve_self_test(service) -> int:
     """End-to-end smoke: serve, hit every endpoint, verify byte-identity."""
     import json
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
 
     from repro.core.serialize import result_to_dict
     from repro.service import ServiceClient, ServiceError, start_server
@@ -678,15 +650,21 @@ def _serve_self_test(service) -> int:
             failures.append("healthz did not report ok")
 
         examples = service.dataset.answerable_dev()[:6]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            served = list(
-                pool.map(
-                    lambda e: client.distill(
-                        e.question, e.primary_answer, e.context
-                    ),
-                    examples,
-                )
-            )
+        # Concurrent requests, so the scheduler coalesces them into
+        # micro-batches as it does under real traffic.
+        served: list = [None] * len(examples)
+
+        def fetch(i: int) -> None:
+            e = examples[i]
+            served[i] = client.distill(e.question, e.primary_answer, e.context)
+
+        callers = [
+            threading.Thread(target=fetch, args=(i,)) for i in range(len(examples))
+        ]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
         for example, payload in zip(examples, served):
             direct = result_to_dict(
                 service.gced.distill(

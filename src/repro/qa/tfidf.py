@@ -74,7 +74,10 @@ class TfidfQA(SpanScoringQA):
         lo = max(lo_limit, start - self.window)
         hi = min(hi_limit, end + self.window + 1)
         score = 0.0
-        matched: set[str] = set()
+        # Distinct matched terms in first-match order.  Not a set: a set
+        # of strings iterates in per-process hash-seed order, and the idf
+        # sum below could then differ in its last digit between processes.
+        matched: dict[str, None] = {}
         for idx in range(lo, hi):
             token = tokens[idx]
             if not token.is_word:
@@ -97,7 +100,7 @@ class TfidfQA(SpanScoringQA):
                 # Noun/entity matches locate the clause; distance within
                 # the sentence is a weak signal (see LexicalOverlapQA).
                 score += weight * (0.75 + 0.25 * decayed)
-            matched.add(term)
+            matched[term] = None
         score += 0.5 * sum(self.idf(t) for t in matched) / max(1, len(question_terms))
         return score
 
@@ -137,7 +140,7 @@ class TfidfQA(SpanScoringQA):
         lo = max(lo_limit, start - self.window)
         hi = min(hi_limit, end + self.window + 1)
         score = 0.0
-        matched: set[str] = set()
+        matched: dict[str, None] = {}  # not a set: see score_span
         for idx in range(lo, hi):
             entry = prep[idx]
             if entry is None:
@@ -152,6 +155,6 @@ class TfidfQA(SpanScoringQA):
                 score += self.verb_term_boost * weight * decayed
             else:
                 score += weight * (0.75 + 0.25 * decayed)
-            matched.add(term)
+            matched[term] = None
         score += 0.5 * sum(self.idf(t) for t in matched) / max(1, len(profile.terms))
         return score

@@ -54,7 +54,7 @@ class RankingScorer:
         """The ``k`` best ``(doc_id, score)`` pairs, deterministically.
 
         Ordered by score descending; exact ties resolve to the lower
-        ``doc_id`` so rankings are reproducible across runs, backends,
+        ``doc_id`` so rankings are reproducible across runs, executors,
         and persisted-index reloads.
         """
         if k < 1:

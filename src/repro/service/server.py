@@ -119,6 +119,11 @@ class DistillHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # Listen backlog.  socketserver's default of 5 overflows on a burst
+    # of fresh connections (one per request is what ServiceClient
+    # opens): overflowed SYNs wait out a ~1 s retransmit, and the
+    # server's own request histogram never sees that wait.
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -137,6 +142,10 @@ class _DistillHandler(BaseHTTPRequestHandler):
     # Keep-alive lets benchmark clients reuse connections; every response
     # sets Content-Length so this is safe.
     protocol_version = "HTTP/1.1"
+    # Socket read timeout, seconds: a client that stalls mid-request (or
+    # idles on a kept-alive connection) is cut off instead of pinning
+    # its handler thread for good.
+    timeout = 30
 
     @property
     def service(self) -> DistillService:
@@ -547,7 +556,13 @@ class _DistillHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "missing or oversized body"})
             return None
         try:
-            payload = json.loads(self.rfile.read(length))
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            self._send_json(408, {"error": "timed out reading the body"})
+            return None
+        try:
+            payload = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):
             self._send_json(400, {"error": "body is not valid JSON"})
             return None

@@ -61,8 +61,8 @@ class ServiceConfig:
     Attributes:
         dataset: synthetic dataset key the corpus is drawn from.
         seed / n_train / n_dev: dataset generation parameters.
-        workers: engine executor pool size (1 = serial flushes).
-        backend: ``"thread"`` or ``"process"`` executor backend.
+        workers: engine executor size: 1 flushes serially, more runs a
+            process pool of that size (0 = one per CPU).
         cache_size: memoized finished results kept by the distiller.
         max_batch_size / max_wait_ms: micro-batching flush policy.
         max_queue_depth: scheduler admission bound — submits past this
@@ -96,7 +96,6 @@ class ServiceConfig:
     n_train: int = 100
     n_dev: int = 60
     workers: int = 1
-    backend: str = "thread"
     cache_size: int = 4096
     max_batch_size: int = 16
     max_wait_ms: float = 5.0
@@ -135,7 +134,6 @@ class DistillService:
         gced: GCED,
         *,
         workers: int = 1,
-        backend: str = "thread",
         cache_size: int = 4096,
         max_batch_size: int = 16,
         max_wait_ms: float = 5.0,
@@ -167,7 +165,6 @@ class DistillService:
             n_train=0,
             n_dev=0,
             workers=workers,
-            backend=backend,
             cache_size=cache_size,
             max_batch_size=max_batch_size,
             max_wait_ms=max_wait_ms,
@@ -186,8 +183,8 @@ class DistillService:
             rate=self.config.client_rate, burst=self.config.client_burst
         )
         # Durable write path.  Wired *before* the distiller so the
-        # pipeline snapshot (built at distiller construction for process
-        # backends) already carries the mutable, WAL-recovered index.
+        # pipeline snapshot (built at distiller construction for a process
+        # pool) already carries the mutable, WAL-recovered index.
         self.ingest: IngestManager | None = None
         if self.config.ingest_dir and self.retriever is not None:
             self.ingest = IngestManager.open(
@@ -205,7 +202,6 @@ class DistillService:
             gced,
             cache_size=cache_size,
             workers=workers,
-            backend=backend,
             breaker_failures=self.config.breaker_failures,
             breaker_reset_s=self.config.breaker_reset_s,
         )
@@ -263,13 +259,11 @@ class DistillService:
             corpus,
             n_shards=config.retrieval_shards,
             workers=config.workers,
-            backend=config.backend,
             metadata={"dataset": config.dataset, "seed": config.seed},
         )
         service = cls(
             gced,
             workers=config.workers,
-            backend=config.backend,
             cache_size=config.cache_size,
             max_batch_size=config.max_batch_size,
             max_wait_ms=config.max_wait_ms,
@@ -311,7 +305,6 @@ class DistillService:
                 key: kwargs[key]
                 for key in (
                     "workers",
-                    "backend",
                     "cache_size",
                     "max_batch_size",
                     "max_wait_ms",

@@ -22,6 +22,19 @@ from repro.utils.cache import LRUCache, MISSING
 from tests.conftest import QA_CASES
 
 
+# Module-level so the process pool can pickle them.
+def _square(x):
+    return x * x
+
+
+def _identity(x):
+    return x
+
+
+def _boom(x):
+    raise RuntimeError("boom")
+
+
 # ------------------------------------------------------------- stage plans
 class TestStagePlan:
     def test_full_plan(self):
@@ -122,7 +135,7 @@ class TestExecutors:
     def test_parallel_preserves_order_with_grouping(self):
         with ParallelExecutor(workers=3) as executor:
             items = list(range(40))
-            out = executor.map(lambda x: x * x, items, key=lambda x: x % 5)
+            out = executor.map(_square, items, key=lambda x: x % 5)
         assert out == [x * x for x in items]
 
     def test_serial_and_parallel_agree(self):
@@ -134,33 +147,18 @@ class TestExecutors:
 
     def test_empty_input(self):
         with ParallelExecutor(workers=2) as executor:
-            assert executor.map(lambda x: x, []) == []
+            assert executor.map(_identity, []) == []
 
     def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("boom")
-
         with ParallelExecutor(workers=2) as executor:
             with pytest.raises(RuntimeError, match="boom"):
-                executor.map(boom, [1, 2, 3])
+                executor.map(_boom, [1, 2, 3])
 
     def test_build_executor(self):
         assert isinstance(build_executor(1), SerialExecutor)
         assert isinstance(build_executor(3), ParallelExecutor)
         assert build_executor(3).workers == 3
         assert build_executor(0).workers >= 1
-
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelExecutor(workers=2, backend="carrier-pigeon")
-
-    def test_prebuilt_process_executor_rejected(self, gced):
-        # A caller-supplied process pool has no pipeline initializer, so
-        # the distiller must refuse it up front rather than fail to
-        # pickle itself at the first distill_many.
-        with ParallelExecutor(workers=2, backend="process") as executor:
-            with pytest.raises(ValueError, match="initializer"):
-                BatchDistiller(gced, executor=executor)
 
 
 # --------------------------------------------------------- LRU cache fixes
@@ -227,7 +225,7 @@ class TestBatchDistillerParallel:
     def test_parallel_matches_serial(self, gced):
         triples = self._triples()
         serial = BatchDistiller(gced).distill_many(triples)
-        with BatchDistiller(gced, workers=3, backend="thread") as batch:
+        with BatchDistiller(gced, workers=3) as batch:
             parallel = batch.distill_many(triples)
         assert [r.evidence for r in parallel] == [r.evidence for r in serial]
         assert [r.scores for r in parallel] == [r.scores for r in serial]
@@ -270,7 +268,7 @@ class TestBatchDistillerParallel:
         triples = self._triples(3)
         serial = BatchDistiller(gced).distill_many(triples)
         fresh = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with BatchDistiller(fresh, workers=2, backend="process") as batch:
+        with BatchDistiller(fresh, workers=2) as batch:
             parallel = batch.distill_many(triples)
             stats = batch.stats()
         assert [r.evidence for r in parallel] == [r.evidence for r in serial]
@@ -280,12 +278,21 @@ class TestBatchDistillerParallel:
         # work having run in other processes.
         assert stats.profile.stages["oec"].calls == 3
 
+    def test_backend_keyword_accepts_only_process(self, gced):
+        triples = self._triples(2)
+        serial = BatchDistiller(gced).distill_many(triples)
+        with BatchDistiller(gced, workers=2, backend="process") as batch:
+            results = batch.distill_many(triples)
+        assert [r.evidence for r in results] == [r.evidence for r in serial]
+        with pytest.raises(ValueError, match="thread backend was removed"):
+            BatchDistiller(gced, workers=2, backend="thread")
+
     def test_workers_zero_means_per_cpu(self, gced):
         # workers=0 must resolve to the CPU count *before* the process
         # initializer guard, so worker processes get a pipeline installed.
         triples = self._triples(2)
         serial = BatchDistiller(gced).distill_many(triples)
-        with BatchDistiller(gced, workers=0, backend="process") as batch:
+        with BatchDistiller(gced, workers=0) as batch:
             results = batch.distill_many(triples)
         assert [r.evidence for r in results] == [r.evidence for r in serial]
 

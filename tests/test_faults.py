@@ -496,7 +496,7 @@ class TestCrashRecovery:
             token = handle.name
         os.environ[ENV_VAR] = f"worker.distill:die:times=1,token={token}"
         try:
-            with BatchDistiller(gced, workers=2, backend="process") as batch:
+            with BatchDistiller(gced, workers=2) as batch:
                 results = batch.distill_many(triples)
                 recovery = batch.executor.recovery_stats()
             assert [r.evidence for r in results] == reference
@@ -520,7 +520,6 @@ class TestCrashRecovery:
             with BatchDistiller(
                 gced,
                 workers=2,
-                backend="process",
                 breaker_failures=1,
                 breaker_reset_s=3600.0,
             ) as batch:
@@ -563,7 +562,7 @@ class TestCrashRecovery:
 
         good = list(QA_CASES[:2])
         reference = _reference_evidence(gced, good)
-        with BatchDistiller(gced, workers=2, backend="process") as batch:
+        with BatchDistiller(gced, workers=2) as batch:
             # Trip the pool breaker open so _execute takes the degraded
             # serial path, then poison one item in the coordinator.
             for _ in range(batch.pool_breaker.failure_threshold):

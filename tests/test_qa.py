@@ -1,6 +1,13 @@
 """Unit tests for the QA substrate: typing, scorers, ensemble, registry."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.qa import (
     AnswerType,
@@ -127,6 +134,61 @@ class TestReaders:
             EnsembleQA([])
         with pytest.raises(ValueError):
             EnsembleQA([(LexicalOverlapQA(), -1.0)])
+
+
+# Scores crafted TF-IDF spans; prints (generic, prepared) score pairs.
+_TFIDF_SEED_SCRIPT = """
+import json
+from repro.qa import TfidfQA
+from repro.text.tokenizer import tokenize
+
+def word(n):  # letters only: the tokenizer splits letters from digits
+    return "qx" + chr(97 + n // 26) + chr(97 + n % 26)
+
+
+rows = []
+for case in range(40):
+    words = [word(6 * case + i) for i in range(6)]
+    # Every word has its own document frequency, so its own idf.
+    model = TfidfQA().fit(
+        [" ".join(words[: k + 1]) for k in range(6)] + ["filler"] * case
+    )
+    profile = model._question_profile("What " + " ".join(words) + "?")
+    tokens = tokenize(" ".join(words) + " then the answer came")
+    answer = len(words) + 2
+    prep = model.span_prep(profile, tokens)
+    rows.append((
+        model.score_span(list(profile.terms), tokens, answer, answer),
+        model.score_span_prepared(prep, profile, tokens, answer, answer),
+    ))
+print(json.dumps(rows))
+"""
+
+
+def _tfidf_scores_under_hash_seed(seed: int) -> list:
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _TFIDF_SEED_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_tfidf_scores_do_not_depend_on_hash_seed():
+    # A spawn-started pool worker or a second server draws its own
+    # string-hash seed; its scores must match the parent's bit for bit.
+    first = _tfidf_scores_under_hash_seed(1)
+    second = _tfidf_scores_under_hash_seed(2)
+    assert first == second
+    for generic, prepared in first:
+        assert generic == prepared
 
 
 class TestSimulatedBaseline:

@@ -2,7 +2,7 @@
 
 The load-bearing invariants, each pinned here:
 
-* shard builds are byte-identical across serial/thread/process executors;
+* shard builds are byte-identical across the serial and process executors;
 * save → load is an identity (bytes and retrieval results);
 * top-k ranking is deterministic, ties broken by ascending doc id;
 * the QA layer's TF-IDF and the retrieval layer share one IDF formula;
@@ -84,27 +84,20 @@ class TestInvertedIndex:
 
 
 class TestBuildEquivalence:
-    def test_serial_thread_process_builds_byte_identical(self):
+    def test_serial_and_process_builds_byte_identical(self):
         serial = CorpusRetriever.build(DOCS, n_shards=3, workers=1)
-        threaded = CorpusRetriever.build(
-            DOCS, n_shards=3, workers=4, backend="thread"
-        )
-        processed = CorpusRetriever.build(
-            DOCS, n_shards=3, workers=2, backend="process"
-        )
         reference = index_to_json(serial.index)
-        assert index_to_json(threaded.index) == reference
-        assert index_to_json(processed.index) == reference
+        for workers in (2, 4):
+            processed = CorpusRetriever.build(DOCS, n_shards=3, workers=workers)
+            assert index_to_json(processed.index) == reference
 
     def test_parallel_build_retrieves_identically(self):
         serial = CorpusRetriever.build(DOCS, n_shards=3, workers=1)
-        threaded = CorpusRetriever.build(
-            DOCS, n_shards=3, workers=4, backend="thread"
-        )
+        processed = CorpusRetriever.build(DOCS, n_shards=3, workers=4)
         for query in ("battle of hastings", "super bowl broncos", "houston"):
             assert [
                 (h.doc_id, h.score) for h in serial.retrieve(query, k=4)
-            ] == [(h.doc_id, h.score) for h in threaded.retrieve(query, k=4)]
+            ] == [(h.doc_id, h.score) for h in processed.retrieve(query, k=4)]
 
 
 class TestStore:

@@ -8,10 +8,13 @@ conftest artifacts.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,6 +38,7 @@ from repro.service import (
     encode_cursor,
     start_server,
 )
+from repro.service.server import _DistillHandler
 from tests.conftest import CORPUS, QA_CASES
 
 POISON = "__poison__"
@@ -611,6 +615,75 @@ class TestHTTPServer:
             )
         assert excinfo.value.code == 405
         assert excinfo.value.headers.get("Allow") == "GET"
+
+
+def _handler_threads() -> set[threading.Thread]:
+    return {
+        t for t in threading.enumerate() if "process_request_thread" in t.name
+    }
+
+
+class TestHTTPEdge:
+    def test_fresh_connection_burst_answers_fast(self, served):
+        # 64 fresh connections at once overflow a small listen backlog:
+        # the dropped SYNs wait out a ~1 s retransmit.
+        _service, client = served
+        address = urllib.parse.urlsplit(client.base_url)
+        n = 64
+        barrier = threading.Barrier(n)
+        statuses: list = [None] * n
+        latencies: list = [None] * n
+
+        def hit(i: int) -> None:
+            barrier.wait(timeout=30)
+            started = time.perf_counter()
+            conn = http.client.HTTPConnection(
+                address.hostname, address.port, timeout=10
+            )
+            try:
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                statuses[i] = response.status
+            finally:
+                conn.close()
+            latencies[i] = time.perf_counter() - started
+
+        callers = [threading.Thread(target=hit, args=(i,)) for i in range(n)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert statuses == [200] * n
+        assert max(latencies) < 1.0
+
+    def test_stalled_body_is_cut_off(self, served, monkeypatch):
+        _service, client = served
+        assert _DistillHandler.timeout is not None
+        monkeypatch.setattr(_DistillHandler, "timeout", 0.5)
+        address = urllib.parse.urlsplit(client.base_url)
+        before = _handler_threads()
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=10
+        ) as sock:
+            # Headers promise 100 body bytes; one arrives, then the
+            # client stalls.
+            sock.sendall(
+                b"POST /distill HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n{"
+            )
+            deadline = time.monotonic() + 5
+            while not _handler_threads() - before:
+                assert time.monotonic() < deadline, "no handler thread"
+                time.sleep(0.01)
+            handler = (_handler_threads() - before).pop()
+            reply = b""
+            while chunk := sock.recv(4096):  # b"" once the server closes
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408")
+        handler.join(timeout=5)
+        assert not handler.is_alive()
 
 
 class TestAskEndpoint:

@@ -184,14 +184,12 @@ class TestDistillEquivalence:
         serial = [warm.distill(*case) for case in cases]
 
         # Snapshot ON: workers hydrate from the warm parent's state.
-        with BatchDistiller(warm, workers=2, backend="process") as batch:
+        with BatchDistiller(warm, workers=2) as batch:
             hydrated = batch.distill_many(cases)
             info = batch.snapshot_info()
         # Snapshot OFF: cold workers, the pre-snapshot behaviour.
         cold_pipeline = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with BatchDistiller(
-            cold_pipeline, workers=2, backend="process", snapshot=False
-        ) as batch:
+        with BatchDistiller(cold_pipeline, workers=2, snapshot=False) as batch:
             cold = batch.distill_many(cases)
 
         for expected, on, off in zip(serial, hydrated, cold):
@@ -209,9 +207,7 @@ class TestDistillEquivalence:
 
     def test_snapshot_off_reports_no_snapshot_info(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with BatchDistiller(
-            gced, workers=2, backend="process", snapshot=False
-        ) as batch:
+        with BatchDistiller(gced, workers=2, snapshot=False) as batch:
             assert batch.snapshot_info() is None
 
 
@@ -229,9 +225,7 @@ class TestStaleness:
                 config=GCEDConfig().ablate("clip"),
             )
             with pytest.raises(ValueError, match="stale pipeline snapshot"):
-                BatchDistiller(
-                    ablated, workers=2, backend="process", snapshot=snap
-                )
+                BatchDistiller(ablated, workers=2, snapshot=snap)
         finally:
             snap.close(unlink=True)
 
@@ -268,7 +262,7 @@ class TestStaleness:
 class TestSharedMemoryCleanup:
     def test_distiller_close_unlinks_owned_segment(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        batch = BatchDistiller(gced, workers=2, backend="process")
+        batch = BatchDistiller(gced, workers=2)
         name = batch._snapshot.shm_name
         assert name is not None and _segment_exists(name)
         batch.close()
@@ -276,7 +270,7 @@ class TestSharedMemoryCleanup:
 
     def test_segment_unlinked_even_after_worker_crash(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        batch = BatchDistiller(gced, workers=2, backend="process")
+        batch = BatchDistiller(gced, workers=2)
         name = batch._snapshot.shm_name
         assert name is not None
         with pytest.raises(BrokenProcessPool):
@@ -289,9 +283,7 @@ class TestSharedMemoryCleanup:
         snap = gced.build_snapshot()
         try:
             name = snap.shm_name
-            with BatchDistiller(
-                gced, workers=2, backend="process", snapshot=snap
-            ):
+            with BatchDistiller(gced, workers=2, snapshot=snap):
                 pass
             # The distiller never owned it, so the segment is still live.
             assert name is None or _segment_exists(name)
@@ -304,7 +296,7 @@ class TestSharedMemoryCleanup:
 
 class TestExecutorLifecycle:
     def test_map_after_close_raises(self):
-        executor = ParallelExecutor(workers=2, backend="thread")
+        executor = ParallelExecutor(workers=2)
         executor.warmup()
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -314,7 +306,7 @@ class TestExecutorLifecycle:
         executor.close()  # idempotent
 
     def test_warmup_report_collects_probe_results(self):
-        executor = ParallelExecutor(workers=2, backend="process")
+        executor = ParallelExecutor(workers=2)
         try:
             report = executor.warmup(probe=os.getpid)
             assert report.seconds >= 0
@@ -601,7 +593,7 @@ class TestSnapshotGeneration:
             artifacts=artifacts,
             retriever=CorpusRetriever(index),
         )
-        with BatchDistiller(gced, workers=2, backend="process") as batch:
+        with BatchDistiller(gced, workers=2) as batch:
             before = batch.snapshot_info()
             batch.executor.warmup()  # ensure every worker process is up
             pool_pids = set(batch.executor._pool._processes)
@@ -616,8 +608,3 @@ class TestSnapshotGeneration:
             assert info["refreshes"] == 1
             assert info["generation"] == outcome["generation"]
             assert info["last_refresh"]["broadcast_ms"] >= 0
-
-    def test_refresh_snapshot_noop_for_thread_backend(self, artifacts):
-        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with BatchDistiller(gced, workers=2, backend="thread") as batch:
-            assert batch.refresh_snapshot() is None
